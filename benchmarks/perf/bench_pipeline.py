@@ -7,8 +7,12 @@ Three sections, written to ``BENCH_CURRENT.json``:
   (60 COs, 20k traces by default), run twice in separate subprocesses:
 
   - ``baseline``: module memos disabled, no :class:`InferenceCache`,
-    quadratic follow-up scan — the pre-PR configuration;
+    the quadratic follow-up scan (:class:`FollowupScan`) in the
+    sufficient-statistics record's follow-up slot;
   - ``optimized``: memos + shared cache + positional follow-up index.
+
+  Both modes fold the trace objects into the record inside the timed
+  region (``stats`` phase).
 
   Each subprocess reports wall-clock, peak RSS (``ru_maxrss`` is
   process-monotonic, hence the isolation), and a digest of the inferred
@@ -16,13 +20,12 @@ Three sections, written to ``BENCH_CURRENT.json``:
   the speedup.
 
 * **columnar** — the same phases over the unpaced 1000-CO workload
-  (4 regions × 250 COs, 500k traces), comparing the object-graph
-  oracle (``optimized`` mode) against the vectorized columnar path
-  (:class:`~repro.corpus.columnar.TraceCorpus` +
-  ``Ip2CoMapper.build_columnar`` / ``AdjacencyExtractor
-  .extract_columnar``).  Corpus construction is untimed in both modes;
-  the inferred-region digests must be identical — the columnar path is
-  a pure representation change, not an approximation.
+  (4 regions × 250 COs, 500k traces), comparing the per-trace fold
+  over trace objects (``optimized`` mode) against the record built by
+  numpy reductions over a :class:`~repro.corpus.columnar.TraceCorpus`
+  (``SufficientStats.from_corpus``).  Corpus construction is untimed
+  in both modes; the inferred-region digests must be identical — both
+  producers build the same record.
 
 * **streaming** — the measurement-bias lab's incremental engine
   (:class:`~repro.bias.incremental.IncrementalCoGraph`) replaying the
@@ -98,9 +101,10 @@ def run_inference_mode(mode: str, workload: "dict") -> "dict":
     """One subprocess entry: run phase 2 over the synthetic corpus."""
     import contextlib
 
-    from repro.infer.adjacency import AdjacencyExtractor
+    from repro.infer.adjacency import AdjacencyExtractor, FollowupScan
     from repro.infer.ip2co import Ip2CoMapper
     from repro.infer.refine import RegionRefiner
+    from repro.infer.stats import SufficientStats
     from repro.obs import build_run_manifest
     from repro.perf import InferenceCache, PhaseProfiler, memoization_disabled
     from repro.perf.cache import clear_module_memos
@@ -130,24 +134,23 @@ def run_inference_mode(mode: str, workload: "dict") -> "dict":
     start = time.perf_counter()
     with guard:
         cache = InferenceCache(rdns, parser) if optimized else None
-        mapper = Ip2CoMapper(rdns, isp, parser=parser, cache=cache)
-        with profiler.phase("ip2co"):
-            mapping = (
-                mapper.build_columnar(col_corpus, aliases) if columnar
-                else mapper.build(corpus.traces, aliases)
-            )
-        extractor = AdjacencyExtractor(
-            mapping, rdns, isp, parser=parser, cache=cache,
-            use_followup_index=optimized,
-        )
-        with profiler.phase("adjacency"):
-            adjacencies = (
-                extractor.extract_columnar(col_corpus, followup_corpus)
+        with profiler.phase("stats"):
+            stats = (
+                SufficientStats.from_corpus(col_corpus, followup_corpus)
                 if columnar
-                else extractor.extract(
-                    corpus.traces, followup_traces=corpus.followups
+                else SufficientStats.from_traces(
+                    corpus.traces, corpus.followups,
+                    followups=None if optimized else FollowupScan(),
                 )
             )
+        mapper = Ip2CoMapper(rdns, isp, parser=parser, cache=cache)
+        with profiler.phase("ip2co"):
+            mapping = mapper.build(stats, aliases)
+        extractor = AdjacencyExtractor(
+            mapping, rdns, isp, parser=parser, cache=cache
+        )
+        with profiler.phase("adjacency"):
+            adjacencies = extractor.extract(stats)
         refiner = RegionRefiner(cache=cache)
         with profiler.phase("refine"):
             regions = {
@@ -230,6 +233,7 @@ def run_streaming_section(workload: "dict") -> "dict":
     from repro.infer.adjacency import AdjacencyExtractor
     from repro.infer.ip2co import Ip2CoMapper
     from repro.infer.refine import RegionRefiner
+    from repro.infer.stats import SufficientStats
     from repro.perf.synthetic import build_synthetic_region_corpus
     from repro.rdns.regexes import HostnameParser
 
@@ -239,14 +243,13 @@ def run_streaming_section(workload: "dict") -> "dict":
     parser = HostnameParser()
 
     start = time.perf_counter()
+    stats = SufficientStats.from_traces(corpus.traces, corpus.followups)
     mapper = Ip2CoMapper(corpus.rdns, corpus.isp, parser=parser)
-    mapping = mapper.build(corpus.traces, corpus.aliases)
+    mapping = mapper.build(stats, corpus.aliases)
     extractor = AdjacencyExtractor(
         mapping, corpus.rdns, corpus.isp, parser=parser
     )
-    adjacencies = extractor.extract(
-        corpus.traces, followup_traces=corpus.followups
-    )
+    adjacencies = extractor.extract(stats)
     refiner = RegionRefiner()
     regions = {
         name: refiner.refine(name, counter)
@@ -408,22 +411,22 @@ def main() -> int:
         },
     }
 
-    # Columnar section: object-graph oracle vs vectorized columnar path
-    # over the (unpaced) 1000-CO workload.  Digest identity is fatal —
-    # the columnar path must reproduce the oracle's graphs exactly.
+    # Columnar section: the per-trace fold (payload key "oracle") vs
+    # the columnar reductions over the (unpaced) 1000-CO workload.
+    # Digest identity is fatal — both producers build the same record.
     col_workload = (
         COLUMNAR_SMOKE_WORKLOAD if args.smoke else COLUMNAR_WORKLOAD
     )
     print(f"columnar workload: {col_workload} (best of {repeats})",
           file=sys.stderr)
     oracle = _best_of(repeats, "optimized", col_workload)
-    print(f"oracle (object): {oracle['wall_s']}s, "
+    print(f"oracle (fold):   {oracle['wall_s']}s, "
           f"rss {oracle['peak_rss_kb']}kB", file=sys.stderr)
     columnar = _best_of(repeats, "columnar", col_workload)
     print(f"columnar:        {columnar['wall_s']}s, "
           f"rss {columnar['peak_rss_kb']}kB", file=sys.stderr)
     if oracle["digest"] != columnar["digest"]:
-        print("FATAL: columnar path diverged from the object-graph oracle",
+        print("FATAL: columnar record diverged from the per-trace fold",
               file=sys.stderr)
         return 1
     col_speedup = (

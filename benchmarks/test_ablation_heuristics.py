@@ -22,6 +22,7 @@ from repro.infer.adjacency import AdjacencyExtractor
 from repro.infer.ip2co import Ip2CoMapper
 from repro.infer.metrics import score_region, single_upstream_fraction
 from repro.infer.refine import RegionRefiner
+from repro.infer.stats import SufficientStats
 
 
 def _scores(internet, isp, regions):
@@ -40,21 +41,19 @@ def _scores(internet, isp, regions):
 
 def _rerun_phase2(internet, isp, result, aliases=None, refiner=None,
                   followups=None):
-    mapper = Ip2CoMapper(
-        internet.network.rdns, isp.name, p2p_prefixlen=isp.p2p_prefixlen
+    mapper = Ip2CoMapper(internet.network.rdns, isp.name)
+    stats = SufficientStats.from_traces(
+        result.traces,
+        result.followup_traces if followups is None else followups,
+        p2p_prefixlen=isp.p2p_prefixlen,
     )
     mapping = mapper.build(
-        result.traces,
+        stats,
         aliases if aliases is not None else result.aliases,
         extra_addresses=set(result.mapping.mapping),
     )
     extractor = AdjacencyExtractor(mapping, internet.network.rdns, isp.name)
-    adjacencies = extractor.extract(
-        result.traces,
-        followup_traces=(
-            result.followup_traces if followups is None else followups
-        ),
-    )
+    adjacencies = extractor.extract(stats)
     refiner = refiner or RegionRefiner()
     return {
         name: refiner.refine(name, counter)
@@ -85,11 +84,12 @@ def test_ablation_alias_resolution(benchmark, internet, comcast_result):
     isp = internet.comcast
 
     def run():
-        mapper = Ip2CoMapper(
-            internet.network.rdns, isp.name, p2p_prefixlen=isp.p2p_prefixlen
-        )
+        mapper = Ip2CoMapper(internet.network.rdns, isp.name)
         return mapper.build(
-            comcast_result.traces, AliasSets([]),
+            SufficientStats.from_traces(
+                comcast_result.traces, p2p_prefixlen=isp.p2p_prefixlen
+            ),
+            AliasSets([]),
             extra_addresses=set(comcast_result.mapping.mapping),
         )
 

@@ -10,6 +10,7 @@ fleets and counts the distinct CO adjacencies observed.
 from repro.analysis.tables import render_table
 from repro.infer.adjacency import AdjacencyExtractor
 from repro.infer.ip2co import Ip2CoMapper
+from repro.infer.stats import SufficientStats
 from repro.measure.traceroute import Tracerouter
 
 REGION = "chicago"
@@ -32,11 +33,13 @@ def test_ablation_vantage_points(benchmark, internet, fleet, comcast_result):
                 trace = tracer.trace(vp.host, target, src_address=vp.src_address)
                 if trace.hops:
                     traces.append(trace)
-        mapper = Ip2CoMapper(internet.network.rdns, isp.name,
-                             p2p_prefixlen=isp.p2p_prefixlen)
-        mapping = mapper.build(traces, comcast_result.aliases)
+        mapper = Ip2CoMapper(internet.network.rdns, isp.name)
+        stats = SufficientStats.from_traces(
+            traces, p2p_prefixlen=isp.p2p_prefixlen
+        )
+        mapping = mapper.build(stats, comcast_result.aliases)
         extractor = AdjacencyExtractor(mapping, internet.network.rdns, isp.name)
-        adjacencies = extractor.extract(traces)
+        adjacencies = extractor.extract(stats)
         return len(adjacencies.per_region.get(REGION, {}))
 
     def run():

@@ -9,6 +9,7 @@ addresses without rDNS."
 from repro.analysis.tables import render_table
 from repro.infer.adjacency import AdjacencyExtractor
 from repro.infer.ip2co import Ip2CoMapper
+from repro.infer.stats import SufficientStats
 
 
 def _slash24_targets(isp) -> "set[str]":
@@ -21,12 +22,13 @@ def _slash24_targets(isp) -> "set[str]":
 
 
 def _co_adjacencies(internet, isp, result, traces):
-    mapper = Ip2CoMapper(
-        internet.network.rdns, isp.name, p2p_prefixlen=isp.p2p_prefixlen
+    mapper = Ip2CoMapper(internet.network.rdns, isp.name)
+    stats = SufficientStats.from_traces(
+        traces, p2p_prefixlen=isp.p2p_prefixlen
     )
-    mapping = mapper.build(traces, result.aliases)
+    mapping = mapper.build(stats, result.aliases)
     extractor = AdjacencyExtractor(mapping, internet.network.rdns, isp.name)
-    adjacencies = extractor.extract(traces)
+    adjacencies = extractor.extract(stats)
     return sum(
         len(counter) for counter in adjacencies.per_region.values()
     )

@@ -1,17 +1,16 @@
 """Streaming incremental inference with batch digest parity.
 
-The batch pipeline is a fold over the corpus: every stage consumes
-either per-address lookups or insertion-ordered unique-pair counts.
-:class:`IncrementalCoGraph` maintains exactly those sufficient
-statistics trace-by-trace — O(hops) per ingest — and materializes a
-full CO graph on demand by replaying the *same* stage code
-(:class:`~repro.infer.ip2co.Ip2CoMapper` voting,
-:meth:`~repro.infer.adjacency.AdjacencyExtractor._classify` pruning,
+The batch pipeline reads the corpus only through its sufficient
+statistics (:class:`~repro.infer.stats.SufficientStats`).
+:class:`IncrementalCoGraph` folds traces into that record one at a
+time — O(hops) per ingest — and materializes a full CO graph on demand
+by running the batch stages themselves over it
+(:meth:`~repro.infer.ip2co.Ip2CoMapper.build`,
+:meth:`~repro.infer.adjacency.AdjacencyExtractor.extract`,
 :class:`~repro.infer.refine.RegionRefiner`).  Because the pair counts
-accumulate in first-occurrence order — the batch Counter's insertion
-order — a snapshot is digest-*identical* to rerunning the batch
-pipeline over the same traces, not merely equivalent.  The regression
-suite holds that parity as an oracle.
+accumulate in first-occurrence order, a snapshot is digest-*identical*
+to rerunning the batch pipeline over the same traces, not merely
+equivalent.  The regression suite holds that parity as an oracle.
 
 Longitudinal pieces ride along: :func:`ingest_from_store` drains
 finished campaign-service jobs in submission order with a resumable
@@ -24,16 +23,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 
+from repro.alias.resolve import AliasSets
 from repro.errors import InferenceError
-from repro.infer.adjacency import AdjacencyExtractor, FollowupIndex, RegionAdjacencies
-from repro.infer.ip2co import CoConflict, Ip2CoMapper, Ip2CoMapping, Ip2CoStats
+from repro.infer.adjacency import AdjacencyExtractor, RegionAdjacencies
+from repro.infer.ip2co import Ip2CoMapper, Ip2CoMapping
 from repro.infer.refine import RegionRefiner
+from repro.infer.stats import SufficientStats
 from repro.measure.traceroute import TraceResult
 from repro.net.dns import RdnsStore
-from repro.perf.cache import normalize_address, p2p_peer_str
+from repro.perf.cache import normalize_address
 
 
 def region_digest(regions: "dict") -> str:
@@ -84,60 +84,32 @@ class IncrementalCoGraph:
     """
 
     def __init__(self, rdns: RdnsStore, isp: str, p2p_prefixlen: int = 30,
-                 parser=None, cache=None,
-                 isp_aliases: "tuple[str, ...]" = ()) -> None:
-        self.mapper = Ip2CoMapper(
-            rdns, isp, p2p_prefixlen=p2p_prefixlen, parser=parser, cache=cache
-        )
+                 parser=None, cache=None) -> None:
+        self.mapper = Ip2CoMapper(rdns, isp, parser=parser, cache=cache)
         self.rdns = rdns
         self.isp = isp
         self.cache = cache
-        self.isp_aliases = tuple(isp_aliases)
-        #: Insertion-ordered unique-pair counts — the batch Counter's
-        #: exact state, grown one trace at a time.
-        self._pairs: "Counter[tuple[str, str]]" = Counter()
-        #: Echo-excluded pair counts feeding the p2p vote (stage 3).
-        self._p2p_pairs: "Counter[tuple[str, str]]" = Counter()
-        #: Responding addresses plus their p2p-subnet peers (stage 1).
-        self._observed: "set[str]" = set()
-        #: Live positional index over ingested follow-up (DPR) traces.
-        self._followup_index = FollowupIndex([])
-        self.traces_ingested = 0
-        self.followups_ingested = 0
+        #: The sufficient statistics, grown one trace at a time.
+        self.stats = SufficientStats(p2p_prefixlen)
+
+    @property
+    def traces_ingested(self) -> int:
+        return self.stats.traces
+
+    @property
+    def followups_ingested(self) -> int:
+        return len(self.stats.followups)
 
     # ------------------------------------------------------------------
     # Ingestion — O(hops) per trace
     # ------------------------------------------------------------------
     def ingest(self, trace: TraceResult) -> None:
         """Fold one primary trace into the sufficient statistics."""
-        for hop in trace.hops:
-            if hop.address is None:
-                continue
-            self._observed.add(hop.address)
-            peer = p2p_peer_str(hop.address, self.mapper.p2p_prefixlen)
-            if peer is not None:
-                self._observed.add(peer)
-        pairs = trace.adjacent_pairs()
-        for pair in pairs:
-            self._pairs[pair] += 1
-        for pair in trace.adjacent_pairs(exclude_final_echo=True):
-            self._p2p_pairs[pair] += 1
-        self.traces_ingested += 1
+        self.stats.add_trace(trace)
 
     def ingest_followup(self, trace: TraceResult) -> None:
         """Fold one follow-up (DPR) trace into the MPLS span index."""
-        t_index = self.followups_ingested
-        spans = self._followup_index._spans
-        for hop in trace.hops:
-            if hop.address is None:
-                continue
-            per_trace = spans.setdefault(hop.address, {})
-            seen = per_trace.get(t_index)
-            if seen is None:
-                per_trace[t_index] = (hop.index, hop.index)
-            else:
-                per_trace[t_index] = (seen[0], hop.index)
-        self.followups_ingested += 1
+        self.stats.add_followup(trace)
 
     def ingest_corpus(self, corpus, followups: bool = False) -> int:
         """Ingest every trace of a columnar corpus, in stored order."""
@@ -148,53 +120,25 @@ class IncrementalCoGraph:
         return len(traces)
 
     # ------------------------------------------------------------------
-    # Materialization — replays the batch stages over the counts
+    # Materialization — the batch stages over the record
     # ------------------------------------------------------------------
     def snapshot(
         self,
         aliases=None,
         extra_addresses: "set[str] | None" = None,
-        refiner: "RegionRefiner | None" = None,
     ) -> StreamSnapshot:
         """Run voting + pruning + refinement over the current state."""
-        stats = Ip2CoStats()
-        addresses = set(self._observed)
-        if extra_addresses:
-            addresses |= {normalize_address(a) for a in extra_addresses}
-        mapping = self.mapper.initial_mapping(addresses)
-        stats.initial = len(mapping)
-        conflicts: "list[CoConflict]" = []
-        if aliases is not None:
-            self.mapper._apply_alias_groups(mapping, aliases, stats, conflicts)
-        stats.after_alias = len(mapping)
-        # Stage 3 over the accumulated unique-pair counts: identical
-        # vote totals and dict ordering to the batch occurrence walk
-        # (first occurrence of a pair = first occurrence of its vote).
-        votes: "dict[str, Counter]" = {}
-        for (prev_addr, cur_addr), count in self._p2p_pairs.items():
-            peer = p2p_peer_str(cur_addr, self.mapper.p2p_prefixlen)
-            if peer is None:
-                continue
-            peer_co = mapping.get(peer)
-            if peer_co is None:
-                continue
-            votes.setdefault(prev_addr, Counter())[peer_co] += count
-        self.mapper._resolve_p2p_votes(mapping, votes, stats, conflicts)
-        stats.final = len(mapping)
-        ip2co = Ip2CoMapping(mapping=mapping, stats=stats, conflicts=conflicts)
-
+        ip2co = self.mapper.build(
+            self.stats,
+            aliases if aliases is not None else AliasSets([]),
+            extra_addresses=extra_addresses,
+        )
         extractor = AdjacencyExtractor(
             ip2co, self.rdns, self.isp, parser=self.mapper.parser,
-            cache=self.cache, isp_aliases=self.isp_aliases,
+            cache=self.cache,
         )
-        followup_index = (
-            self._followup_index if self.followups_ingested else None
-        )
-        adjacencies = extractor._classify(
-            self._pairs.items(), [], followup_index
-        )
-
-        refiner = refiner or RegionRefiner(cache=self.cache)
+        adjacencies = extractor.extract(self.stats)
+        refiner = RegionRefiner(cache=self.cache)
         regions = {
             name: refiner.refine(name, adjacencies.per_region[name])
             for name in adjacencies.regions()
@@ -274,8 +218,6 @@ class EpochChangeDetector:
 
     def poll(self) -> "list[CoChange]":
         """Changes since the last poll ([] when the epoch is unmoved)."""
-        if not self._assignments and self.rdns.epoch == self._epoch:
-            return []
         if self.rdns.epoch == self._epoch:
             return []
         self._epoch = self.rdns.epoch

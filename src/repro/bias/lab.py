@@ -38,6 +38,7 @@ from repro.errors import TopologyError
 from repro.infer.adjacency import AdjacencyExtractor
 from repro.infer.ip2co import Ip2CoMapper
 from repro.infer.refine import RegionRefiner
+from repro.infer.stats import SufficientStats
 from repro.measure.traceroute import Tracerouter
 from repro.net.router import _stable_hash
 from repro.obs import MetricsRegistry, Tracer
@@ -236,11 +237,12 @@ class BiasLab:
                 span.attributes["traces"] = len(traces)
             result.traces = traces
             rdns = self.internet.network.rdns
+            corpus = TraceCorpus.from_traces(traces)
+            stats = SufficientStats.from_corpus(corpus)
             mapper = Ip2CoMapper(rdns, self.isp_name, parser=self.parser)
-            mapping = mapper.build(traces, AliasSets([]))
+            mapping = mapper.build(stats, AliasSets([]))
 
             with self.obs.span("bias.species") as span:
-                corpus = TraceCorpus.from_traces(traces)
                 co_est, link_est = estimate_corpus(corpus, mapping)
                 co_truth = sum(
                     len(region.cos) for region in self.isp.regions.values()
@@ -276,7 +278,7 @@ class BiasLab:
 
             with self.obs.span("bias.stream", traces=len(traces)):
                 result.stream, result.snapshot = self._stream_section(
-                    traces, mapping
+                    traces, stats, mapping
                 )
                 self.metrics.set_gauge(
                     "bias.stream.parity", int(result.stream.parity)
@@ -287,8 +289,13 @@ class BiasLab:
         return result
 
     # ------------------------------------------------------------------
-    def _stream_section(self, traces, mapping):
-        """Streaming replay + batch oracle + the epoch-detector drill."""
+    def _stream_section(self, traces, stats, mapping):
+        """Streaming replay + batch oracle + the epoch-detector drill.
+
+        The oracle runs the batch stages over *stats*, the record the
+        columnar reductions built, so parity also holds the per-trace
+        fold to the columnar producer.
+        """
         rdns = self.internet.network.rdns
         started = time.perf_counter()
         graph = IncrementalCoGraph(rdns, self.isp_name, parser=self.parser)
@@ -299,9 +306,9 @@ class BiasLab:
 
         started = time.perf_counter()
         extractor = AdjacencyExtractor(
-            snapshot.mapping, rdns, self.isp_name, parser=self.parser
+            mapping, rdns, self.isp_name, parser=self.parser
         )
-        adjacencies = extractor.extract(traces)
+        adjacencies = extractor.extract(stats)
         refiner = RegionRefiner()
         batch_regions = {
             name: refiner.refine(name, adjacencies.per_region[name])

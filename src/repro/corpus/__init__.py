@@ -17,11 +17,13 @@ optimizations were waiting for:
 * zero-copy contiguous slicing (:meth:`TraceCorpus.slice_traces`,
   :meth:`TraceCorpus.split`) so region and measurement shards share
   the hop columns instead of copying them;
-* a lossless round-trip to and from ``list[TraceResult]`` — the object
-  graph stays the digest-parity oracle for every vectorized path;
+* a lossless round-trip to and from ``list[TraceResult]``; phase 2
+  reads a corpus through
+  :meth:`~repro.infer.stats.SufficientStats.from_corpus`, which builds
+  the same record as folding the trace objects one at a time;
 * :mod:`repro.corpus.binio` — a binary on-disk format (``.npz``)
   alongside the validated JSON interchange, both loaded through the
-  PR-2 schema layer (:class:`~repro.errors.SchemaError`, never
+  artifact schema layer (:class:`~repro.errors.SchemaError`, never
   ``KeyError``).
 """
 

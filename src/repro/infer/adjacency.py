@@ -1,8 +1,10 @@
 """CO adjacency extraction and pruning (Appendix B.2, Table 4).
 
-From the traceroute corpus, collect immediately adjacent responding
-address pairs, lift them to CO adjacencies via the IP→CO mapping, and
-prune four classes of false or out-of-scope adjacency:
+Take the immediately adjacent responding address pairs of the
+traceroute corpus (counted in its
+:class:`~repro.infer.stats.SufficientStats`), lift them to CO
+adjacencies via the IP→CO mapping, and prune four classes of false or
+out-of-scope adjacency:
 
 * **MPLS tunnel entry/exit pairs** — a pair adjacent in the original
   corpus but separated by intermediate hops in the follow-up (DPR)
@@ -25,11 +27,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.infer.ip2co import Ip2CoMapping
 from repro.measure.traceroute import TraceResult
 from repro.net.dns import RdnsStore
 from repro.rdns.regexes import ISP_ALIASES, HostnameParser
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.infer.stats import SufficientStats
 
 
 @dataclass
@@ -91,8 +97,9 @@ class FollowupIndex:
     shows an occurrence of *second* more than one hop after an
     occurrence of *first* — i.e. when ``max(second hop indexes) >
     min(first hop indexes) + 1`` in a trace containing both.  That is
-    equivalent to scanning all occurrence pairs in path order, without
-    the O(pairs × followups × length) rescans of the naive approach.
+    equivalent to scanning all occurrence pairs in path order
+    (:class:`FollowupScan`), without its O(pairs × followups × length)
+    rescans.
 
     Spacing is measured in hop-index (TTL) space, not in positions over
     ``responsive_addresses()``: a follow-up trace ``A, *, B`` reveals an
@@ -100,19 +107,29 @@ class FollowupIndex:
     tunnel-separated — compressing out silent hops would hide it.
     """
 
-    def __init__(self, traces: "list[TraceResult]") -> None:
+    def __init__(self, traces: "list[TraceResult]" = ()) -> None:
         #: address -> {trace index: (earliest hop idx, latest hop idx)}
         self._spans: "dict[str, dict[int, tuple[int, int]]]" = {}
-        for t_index, trace in enumerate(traces):
-            for hop in trace.hops:
-                if hop.address is None:
-                    continue
-                spans = self._spans.setdefault(hop.address, {})
-                seen = spans.get(t_index)
-                if seen is None:
-                    spans[t_index] = (hop.index, hop.index)
-                else:
-                    spans[t_index] = (seen[0], hop.index)
+        self._traces = 0
+        for trace in traces:
+            self.add(trace)
+
+    def __len__(self) -> int:
+        return self._traces
+
+    def add(self, trace: TraceResult) -> None:
+        """Index one more follow-up trace."""
+        t_index = self._traces
+        for hop in trace.hops:
+            if hop.address is None:
+                continue
+            spans = self._spans.setdefault(hop.address, {})
+            seen = spans.get(t_index)
+            if seen is None:
+                spans[t_index] = (hop.index, hop.index)
+            else:
+                spans[t_index] = (seen[0], hop.index)
+        self._traces += 1
 
     @classmethod
     def from_columnar(cls, corpus) -> "FollowupIndex":
@@ -123,7 +140,7 @@ class FollowupIndex:
         """
         from repro.corpus.columnar import hop_span_groups
 
-        index = cls([])
+        index = cls()
         addr_ids, trace_ids, earliest, latest = hop_span_groups(corpus)
         addresses = corpus.addresses
         spans = index._spans
@@ -131,6 +148,7 @@ class FollowupIndex:
             spans.setdefault(addresses[int(addr_ids[row])], {})[
                 int(trace_ids[row])
             ] = (int(earliest[row]), int(latest[row]))
+        index._traces = len(corpus)
         return index
 
     def separated(self, first: str, second: str) -> bool:
@@ -152,14 +170,49 @@ class FollowupIndex:
         return False
 
 
+class FollowupScan:
+    """Reference for :class:`FollowupIndex`: the same answers from a
+    rescan of every follow-up trace per query.
+
+    Considers every occurrence pair in path order — the earliest
+    occurrence of *first* against any later occurrence of *second* —
+    so reversed or duplicate-hop DPR traces cannot mis-classify.
+    Spacing is measured over ``Hop.index`` (TTL space): an unresponsive
+    interior hop in ``A, *, B`` still separates the pair.  Kept as the
+    index's equivalence oracle and the benchmark's pre-index baseline.
+    """
+
+    def __init__(self, traces: "list[TraceResult]" = ()) -> None:
+        self.traces = list(traces)
+
+    def add(self, trace: TraceResult) -> None:
+        self.traces.append(trace)
+
+    def separated(self, first: str, second: str) -> bool:
+        """Whether any follow-up trace shows hops *between* the pair."""
+        for trace in self.traces:
+            earliest = None
+            for hop in trace.hops:
+                if hop.address is None:
+                    continue
+                if hop.address == first and earliest is None:
+                    earliest = hop.index
+                elif (
+                    hop.address == second
+                    and earliest is not None
+                    and hop.index > earliest + 1
+                ):
+                    return True
+        return False
+
+
 class AdjacencyExtractor:
     """Builds :class:`RegionAdjacencies` from the corpora."""
 
     def __init__(self, mapping: Ip2CoMapping, rdns: RdnsStore, isp: str,
                  parser: "HostnameParser | None" = None,
                  cache=None,
-                 isp_aliases: "tuple[str, ...]" = (),
-                 use_followup_index: bool = True) -> None:
+                 isp_aliases: "tuple[str, ...]" = ()) -> None:
         self.mapping = mapping
         self.rdns = rdns
         self.isp = isp
@@ -173,10 +226,6 @@ class AdjacencyExtractor:
         self._accepted_isps = frozenset(
             {isp} | set(ISP_ALIASES.get(isp, ())) | set(isp_aliases)
         )
-        #: Benchmark switch: False selects the quadratic reference scan
-        #: (with correct occurrence-pair semantics) instead of the
-        #: positional index.
-        self.use_followup_index = use_followup_index
 
     # -- helpers -------------------------------------------------------------
     def _backbone_tag(self, address: str) -> "str | None":
@@ -192,97 +241,14 @@ class AdjacencyExtractor:
             return parsed.co_tag or parsed.region
         return None
 
-    @staticmethod
-    def _mpls_separated(
-        pair: "tuple[str, str]", followup_traces: "list[TraceResult]"
-    ) -> bool:
-        """Reference scan: hops inside *pair* in any follow-up trace.
-
-        Considers every occurrence pair in path order — the earliest
-        occurrence of *first* against any later occurrence of *second*
-        — so reversed or duplicate-hop DPR traces cannot mis-classify.
-        Spacing is measured over ``Hop.index`` (TTL space): an
-        unresponsive interior hop in ``A, *, B`` still separates the
-        pair.  Kept as the :class:`FollowupIndex` equivalence oracle
-        and the benchmark's pre-index baseline.
-        """
-        first, second = pair
-        for trace in followup_traces:
-            earliest = None
-            for hop in trace.hops:
-                if hop.address is None:
-                    continue
-                if hop.address == first and earliest is None:
-                    earliest = hop.index
-                elif (
-                    hop.address == second
-                    and earliest is not None
-                    and hop.index > earliest + 1
-                ):
-                    return True
-        return False
-
     # -- the extraction ---------------------------------------------------
-    def extract(
-        self,
-        traces: "list[TraceResult]",
-        followup_traces: "list[TraceResult] | None" = None,
-    ) -> RegionAdjacencies:
-        """Lift IP adjacencies to pruned per-region CO adjacencies."""
-        followups = followup_traces or []
-        ip_pairs: Counter = Counter()
-        for trace in traces:
-            for pair in trace.adjacent_pairs():
-                ip_pairs[pair] += 1
-        followup_index = (
-            FollowupIndex(followups)
-            if followups and self.use_followup_index
-            else None
-        )
-        return self._classify(ip_pairs.items(), followups, followup_index)
-
-    def extract_columnar(
-        self, corpus, followup_corpus=None
-    ) -> RegionAdjacencies:
-        """:meth:`extract` over columnar corpora.
-
-        Pair extraction and follow-up span computation run as numpy
-        reductions (:func:`repro.corpus.columnar.adjacent_pair_counts`
-        emits unique pairs in first-occurrence order, matching the
-        object path's Counter insertion order exactly); the
-        classification itself is shared with :meth:`extract`, so the
-        object-graph path remains the digest-parity oracle.
-        """
-        from repro.corpus.columnar import adjacent_pair_counts
-
-        addresses = corpus.addresses
-        pair_items = [
-            ((addresses[first], addresses[second]), count)
-            for first, second, count in adjacent_pair_counts(corpus)
-        ]
-        followups: "list[TraceResult]" = []
-        followup_index = None
-        if followup_corpus is not None and len(followup_corpus):
-            if self.use_followup_index:
-                followup_index = FollowupIndex.from_columnar(followup_corpus)
-            else:
-                followups = followup_corpus.to_traces()
-        return self._classify(pair_items, followups, followup_index)
-
-    def _classify(
-        self,
-        pair_counts,
-        followups: "list[TraceResult]",
-        followup_index: "FollowupIndex | None",
-    ) -> RegionAdjacencies:
-        """The shared pruning/accounting pass over ``(pair, count)``
-        items (insertion-ordered — output ordering follows it)."""
+    def extract(self, stats: "SufficientStats") -> RegionAdjacencies:
+        """Lift the record's IP adjacencies to pruned per-region CO
+        adjacencies; output ordering follows the pairs' first-occurrence
+        order."""
         result = RegionAdjacencies()
-        stats = result.stats
-        has_followups = bool(followups) or followup_index is not None
-
-        # Reference-path memo: pair -> separated? (one scan per pair).
-        separated_memo: "dict[tuple[str, str], bool]" = {}
+        counts = result.stats
+        followups = stats.followups
 
         co_pairs: "dict[tuple[str, str, str], int]" = {}  # (region, a, b) -> n
         #: Surviving CO pair -> number of distinct contributing IP pairs
@@ -299,12 +265,12 @@ class AdjacencyExtractor:
         universe: set = set()
         backbone_keys: set = set()
 
-        for (ip_a, ip_b), count in pair_counts:
-            stats.initial_ip += 1
+        for (ip_a, ip_b), count in stats.pairs.items():
+            counts.initial_ip += 1
             bb_tag = self._backbone_tag(ip_a)
             co_b = self.mapping.co_of(ip_b)
             if bb_tag is not None:
-                stats.backbone_ip += 1
+                counts.backbone_ip += 1
                 if co_b is not None:
                     key = (bb_tag, co_b[0], co_b[1])
                     co_backbone[key] += count
@@ -320,37 +286,28 @@ class AdjacencyExtractor:
             region_b, tag_b = co_b
             universe.add((region_a, tag_a, region_b, tag_b))
             if region_a != region_b:
-                stats.cross_region_ip += 1
+                counts.cross_region_ip += 1
                 co_cross[(region_a, tag_a, region_b, tag_b)] += count
                 continue
-            if has_followups:
-                if followup_index is not None:
-                    separated = followup_index.separated(ip_a, ip_b)
-                else:
-                    pair = (ip_a, ip_b)
-                    separated = separated_memo.get(pair)
-                    if separated is None:
-                        separated = self._mpls_separated(pair, followups)
-                        separated_memo[pair] = separated
-                if separated:
-                    stats.mpls_ip += 1
-                    mpls_co_pairs.add((region_a, tag_a, tag_b))
-                    continue
+            if followups.separated(ip_a, ip_b):
+                counts.mpls_ip += 1
+                mpls_co_pairs.add((region_a, tag_a, tag_b))
+                continue
             key = (region_a, tag_a, tag_b)
             co_pairs[key] = co_pairs.get(key, 0) + count
             co_pair_ip_sources[key] += 1
 
-        stats.initial_co = len(universe)
-        stats.backbone_co = len(backbone_keys)
-        stats.cross_region_co = len(co_cross)
-        stats.mpls_co = len(mpls_co_pairs)
+        counts.initial_co = len(universe)
+        counts.backbone_co = len(backbone_keys)
+        counts.cross_region_co = len(co_cross)
+        counts.mpls_co = len(mpls_co_pairs)
 
         # Single-observation pruning (§5.2.1).
         for key, count in co_pairs.items():
             region, tag_a, tag_b = key
             if count < 2:
-                stats.single_co += 1
-                stats.single_ip += co_pair_ip_sources[key]
+                counts.single_co += 1
+                counts.single_ip += co_pair_ip_sources[key]
                 continue
             result.per_region.setdefault(region, Counter())[(tag_a, tag_b)] = count
         result.backbone_pairs = co_backbone

@@ -17,13 +17,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.alias.resolve import AliasSets
-from repro.measure.traceroute import TraceResult
 from repro.net.dns import RdnsStore
-from repro.perf.cache import normalize_address, p2p_peer_str
+from repro.perf.cache import normalize_address
 from repro.rdns.regexes import HostnameParser
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.infer.stats import SufficientStats
 
 CoRef = "tuple[str, str]"  # (region, co_tag)
 
@@ -92,13 +94,12 @@ class Ip2CoMapping:
 
 
 class Ip2CoMapper:
-    """Runs the three B.1 stages over a traceroute corpus."""
+    """Runs the three B.1 stages over a corpus's sufficient statistics."""
 
-    def __init__(self, rdns: RdnsStore, isp: str, p2p_prefixlen: int = 30,
+    def __init__(self, rdns: RdnsStore, isp: str,
                  parser: "HostnameParser | None" = None, cache=None) -> None:
         self.rdns = rdns
         self.isp = isp
-        self.p2p_prefixlen = p2p_prefixlen
         self.parser = parser or HostnameParser()
         #: Shared :class:`~repro.perf.cache.InferenceCache`; optional —
         #: a bare mapper works against the store directly.
@@ -109,38 +110,6 @@ class Ip2CoMapper:
         if self.cache is not None:
             return self.cache.regional_co(address, self.isp)
         return self.parser.regional_co(self.rdns.lookup(address), self.isp)
-
-    def observed_addresses(self, traces: "list[TraceResult]") -> "set[str]":
-        """All responding hop addresses plus their p2p-subnet peers."""
-        addresses: set[str] = set()
-        for trace in traces:
-            for hop in trace.hops:
-                if hop.address is None:
-                    continue
-                addresses.add(hop.address)
-                peer = p2p_peer_str(hop.address, self.p2p_prefixlen)
-                if peer is not None:
-                    addresses.add(peer)
-        return addresses
-
-    def observed_addresses_columnar(self, corpus) -> "set[str]":
-        """:meth:`observed_addresses` over a columnar corpus.
-
-        The p2p-peer derivation runs once per *unique* responding
-        address (one ``np.unique`` over the hop column) instead of once
-        per hop occurrence.
-        """
-        from repro.corpus.columnar import responding_address_ids
-
-        addresses: set[str] = set()
-        table = corpus.addresses
-        for addr_id in responding_address_ids(corpus):
-            address = table[int(addr_id)]
-            addresses.add(address)
-            peer = p2p_peer_str(address, self.p2p_prefixlen)
-            if peer is not None:
-                addresses.add(peer)
-        return addresses
 
     def initial_mapping(self, addresses: "set[str]") -> "dict[str, CoRef]":
         mapping = {}
@@ -190,65 +159,25 @@ class Ip2CoMapper:
                     stats.alias_changed += 1
 
     # -- stage 3 -----------------------------------------------------------
-    def _apply_p2p_votes(
+    def _vote_p2p_peers(
         self,
         mapping: "dict[str, CoRef]",
-        traces: "list[TraceResult]",
+        peer_pairs: "Counter[tuple[str, str]]",
         stats: Ip2CoStats,
         conflicts: "list[CoConflict]",
     ) -> None:
-        votes: "dict[str, Counter]" = {}
-        for trace in traces:
-            for prev_addr, cur_addr in trace.adjacent_pairs(exclude_final_echo=True):
-                peer = p2p_peer_str(cur_addr, self.p2p_prefixlen)
-                if peer is None:
-                    continue
-                peer_co = mapping.get(peer)
-                if peer_co is None:
-                    continue
-                # The peer of the inbound interface most likely sits on
-                # the previous-hop router (Fig 19).
-                votes.setdefault(prev_addr, Counter())[peer_co] += 1
-        self._resolve_p2p_votes(mapping, votes, stats, conflicts)
+        """Votes from the p2p peers of inbound interfaces.
 
-    def _apply_p2p_votes_columnar(
-        self,
-        mapping: "dict[str, CoRef]",
-        corpus,
-        stats: Ip2CoStats,
-        conflicts: "list[CoConflict]",
-    ) -> None:
-        """Stage 3 over columnar pair counts.
-
-        Votes aggregate from unique-pair counts (pairs emitted in
-        first-occurrence order, so the votes dict — and therefore the
-        conflicts list — is ordered exactly as the object path's).
-        Vote *application* is order-independent per address: votes are
-        collected in one read-only pass before any mapping mutation.
+        Votes are collected in one read-only pass before any mapping
+        changes, so applying them is order-independent per address;
+        the pairs' first-occurrence order fixes the order of the
+        conflicts list.
         """
-        from repro.corpus.columnar import adjacent_pair_counts
-
-        table = corpus.addresses
         votes: "dict[str, Counter]" = {}
-        for first, second, count in adjacent_pair_counts(
-            corpus, exclude_final_echo=True
-        ):
-            peer = p2p_peer_str(table[second], self.p2p_prefixlen)
-            if peer is None:
-                continue
+        for (prev_addr, peer), count in peer_pairs.items():
             peer_co = mapping.get(peer)
-            if peer_co is None:
-                continue
-            votes.setdefault(table[first], Counter())[peer_co] += count
-        self._resolve_p2p_votes(mapping, votes, stats, conflicts)
-
-    def _resolve_p2p_votes(
-        self,
-        mapping: "dict[str, CoRef]",
-        votes: "dict[str, Counter]",
-        stats: Ip2CoStats,
-        conflicts: "list[CoConflict]",
-    ) -> None:
+            if peer_co is not None:
+                votes.setdefault(prev_addr, Counter())[peer_co] += count
         for address, counter in votes.items():
             ranked = counter.most_common()
             top_co, top_count = ranked[0]
@@ -272,42 +201,21 @@ class Ip2CoMapper:
                 stats.p2p_changed += 1
 
     # -- the full run --------------------------------------------------------
-    def build(self, traces: "list[TraceResult]", aliases: AliasSets,
+    def build(self, stats: "SufficientStats", aliases: AliasSets,
               extra_addresses: "set[str] | None" = None) -> Ip2CoMapping:
-        """Run all three stages; *extra_addresses* joins stage 1's input
-        (e.g. every rDNS-bearing address of the ISP, §5.1)."""
-        stats = Ip2CoStats()
-        addresses = self.observed_addresses(traces)
-        if extra_addresses:
-            addresses |= {normalize_address(a) for a in extra_addresses}
+        """Run all three stages over a corpus's sufficient statistics,
+        whose producer derived the p2p peers; *extra_addresses* joins
+        stage 1's input (e.g. every rDNS-bearing address of the ISP,
+        §5.1)."""
+        churn = Ip2CoStats()
+        addresses = stats.observed | {
+            normalize_address(a) for a in extra_addresses or ()
+        }
         mapping = self.initial_mapping(addresses)
-        stats.initial = len(mapping)
+        churn.initial = len(mapping)
         conflicts: "list[CoConflict]" = []
-        self._apply_alias_groups(mapping, aliases, stats, conflicts)
-        stats.after_alias = len(mapping)
-        self._apply_p2p_votes(mapping, traces, stats, conflicts)
-        stats.final = len(mapping)
-        return Ip2CoMapping(mapping=mapping, stats=stats, conflicts=conflicts)
-
-    def build_columnar(self, corpus, aliases: AliasSets,
-                       extra_addresses: "set[str] | None" = None) -> Ip2CoMapping:
-        """:meth:`build` over a columnar corpus.
-
-        Stages 1 and 3 read the hop columns directly (unique responding
-        addresses, vectorized pair counts); stage 2 is already
-        per-alias-group and shared verbatim.  Output is identical to
-        ``build(corpus.to_traces(), ...)`` — the object path stays the
-        parity oracle.
-        """
-        stats = Ip2CoStats()
-        addresses = self.observed_addresses_columnar(corpus)
-        if extra_addresses:
-            addresses |= {normalize_address(a) for a in extra_addresses}
-        mapping = self.initial_mapping(addresses)
-        stats.initial = len(mapping)
-        conflicts: "list[CoConflict]" = []
-        self._apply_alias_groups(mapping, aliases, stats, conflicts)
-        stats.after_alias = len(mapping)
-        self._apply_p2p_votes_columnar(mapping, corpus, stats, conflicts)
-        stats.final = len(mapping)
-        return Ip2CoMapping(mapping=mapping, stats=stats, conflicts=conflicts)
+        self._apply_alias_groups(mapping, aliases, churn, conflicts)
+        churn.after_alias = len(mapping)
+        self._vote_p2p_peers(mapping, stats.peer_pairs, churn, conflicts)
+        churn.final = len(mapping)
+        return Ip2CoMapping(mapping=mapping, stats=churn, conflicts=conflicts)

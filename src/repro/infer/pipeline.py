@@ -32,6 +32,7 @@ from repro.infer.aggtype import classify_aggregation
 from repro.infer.entries import EntryInferrer, EntryPoint
 from repro.infer.ip2co import Ip2CoMapper, Ip2CoMapping
 from repro.infer.refine import RefinedRegion, RegionRefiner
+from repro.infer.stats import SufficientStats
 from repro.io.checkpoint import CampaignCheckpoint
 from repro.measure.parallel import ParallelCampaignRunner
 from repro.measure.runner import CampaignHealth, CampaignRunner
@@ -193,12 +194,12 @@ class CableInferencePipeline:
         #: CLI decides whether to export them.  Span ids derive from
         #: ``trace_seed``, so equal-seed runs are diffable span-by-span.
         #: Corpus representation for phase 2 and checkpointing: "json"
-        #: keeps the historical object-graph path (checkpoint traces
-        #: inline); "binary" lifts the collected traces into a columnar
-        #: :class:`~repro.corpus.columnar.TraceCorpus`, runs the
-        #: vectorized ip2co/adjacency paths, and stores checkpoint
-        #: stage traces in ``.npz`` sidecars.  Output is digest-
-        #: identical either way — the object path is the parity oracle.
+        #: folds the collected trace objects into phase 2's sufficient
+        #: statistics (checkpoint traces inline); "binary" lifts them
+        #: into a columnar :class:`~repro.corpus.columnar.TraceCorpus`,
+        #: derives the statistics with numpy reductions, and stores
+        #: checkpoint stage traces in ``.npz`` sidecars.  Both build
+        #: the same record, so output is digest-identical either way.
         if corpus_format not in ("json", "binary"):
             raise MeasurementError(
                 f"unknown corpus format {corpus_format!r} "
@@ -418,7 +419,7 @@ class CableInferencePipeline:
                 from repro.corpus import TraceCorpus
 
                 # Columnar lift: one pass over the collected objects,
-                # after which phase 2's hot loops run as numpy
+                # after which phase 2's statistics come from numpy
                 # reductions over the corpus columns.
                 with obs.span("corpus") as span:
                     corpus = TraceCorpus.from_traces(traces)
@@ -447,20 +448,27 @@ class CableInferencePipeline:
             cache = InferenceCache(self.network.rdns, self.parser,
                                    metrics=self.metrics)
             mapper = Ip2CoMapper(
-                self.network.rdns, self.isp.name,
-                p2p_prefixlen=self.isp.p2p_prefixlen, parser=self.parser,
+                self.network.rdns, self.isp.name, parser=self.parser,
                 cache=cache,
             )
             with obs.span("ip2co") as span:
-                extras = set(self.rdns_targets())
+                # Phase 2 reads the corpora only through their
+                # sufficient statistics: numpy reductions over a
+                # columnar corpus, else one fold over the trace objects
+                # (lifting a json run into columns costs more peak
+                # memory than it saves time).
+                prefixlen = self.isp.p2p_prefixlen
                 if corpus is not None:
-                    mapping = mapper.build_columnar(
-                        corpus, aliases, extra_addresses=extras
+                    stats = SufficientStats.from_corpus(
+                        corpus, followup_corpus, p2p_prefixlen=prefixlen
                     )
                 else:
-                    mapping = mapper.build(
-                        traces, aliases, extra_addresses=extras
+                    stats = SufficientStats.from_traces(
+                        traces, followups, p2p_prefixlen=prefixlen
                     )
+                mapping = mapper.build(
+                    stats, aliases, extra_addresses=set(self.rdns_targets())
+                )
                 span.attributes["mapped_addresses"] = len(mapping)
             if guard is not None:
                 guard.check_mapping(mapping, aliases)
@@ -469,14 +477,7 @@ class CableInferencePipeline:
                 cache=cache,
             )
             with obs.span("adjacency") as span:
-                if corpus is not None:
-                    adjacencies = extractor.extract_columnar(
-                        corpus, followup_corpus
-                    )
-                else:
-                    adjacencies = extractor.extract(
-                        traces, followup_traces=followups
-                    )
+                adjacencies = extractor.extract(stats)
                 span.attributes["regions"] = len(adjacencies.per_region)
         if guard is not None:
             guard.check_adjacencies(adjacencies)

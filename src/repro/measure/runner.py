@@ -338,10 +338,10 @@ class CampaignRunner:
         """:meth:`run`, assembled into a columnar
         :class:`~repro.corpus.columnar.TraceCorpus`.
 
-        This is the corpus-ingestion entry point: downstream vectorized
-        inference (``extract_columnar``/``build_columnar``) consumes
-        the result directly, with no per-trace object traversal in
-        between.  Checkpoint/resume semantics are exactly those of
+        This is the corpus-ingestion entry point: phase 2 derives its
+        sufficient statistics from the result directly
+        (:meth:`~repro.infer.stats.SufficientStats.from_corpus`), with
+        no per-trace object traversal in between.  Checkpoint/resume semantics are exactly those of
         :meth:`run`.
         """
         from repro.corpus import TraceCorpus

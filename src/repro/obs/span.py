@@ -8,7 +8,7 @@ seed, the span's creation index, its name, and its parent, never from
 wall-clock time or process state.  Two runs that execute the same
 stages in the same order therefore produce structurally identical span
 trees (same ids, same parents, same attributes), which is what makes a
-serial run and a ``--parallel N`` run diffable span-for-span.
+serial run and a ``--workers N`` run diffable span-for-span.
 
 Spans are created from the orchestrating thread only.  Worker threads
 (the parallel runner's speculation pool) never open spans — that is a

@@ -75,8 +75,8 @@ def iter_finished_corpora(store, after_seq: int = 0):
     Jobs stream in submission order (``submitted_seq``), skipping those
     at or below *after_seq* — the cursor contract the bias lab's
     incremental ingestion uses to resume where it left off.  Jobs
-    without a corpus (e.g. ``map-cable``) are silently skipped; a *done*
-    job whose corpus is corrupt still raises, as in the diff endpoint.
+    without a corpus artifact are silently skipped; a *done* job whose
+    corpus is corrupt still raises, as in the diff endpoint.
     """
     records = sorted(store.jobs.values(), key=lambda r: r.submitted_seq)
     for record in records:

@@ -7,25 +7,17 @@ from collections import Counter
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.alias.resolve import AliasSets
 from repro.corpus import TraceCorpus, adjacent_pair_counts
-from repro.infer.adjacency import AdjacencyExtractor, FollowupIndex
-from repro.infer.ip2co import Ip2CoMapping
+from repro.infer.adjacency import AdjacencyExtractor, FollowupIndex, FollowupScan
+from repro.infer.ip2co import Ip2CoMapper
+from repro.infer.stats import SufficientStats
 from repro.measure.traceroute import Hop, TraceResult
 from repro.net.dns import RdnsStore
 
 #: A deliberately tiny alphabet so duplicates, reversed occurrences,
 #: and pair collisions are common rather than rare.
 ADDRESSES = ("10.0.0.1", "10.0.0.2", "10.0.1.1", "10.0.2.1")
-
-#: Trivial mapping: three COs in one region plus one in another, so
-#: classification exercises same-CO, same-region, and cross-region arms.
-MAPPING = {
-    "10.0.0.1": ("r1", "co-a"),
-    "10.0.0.2": ("r1", "co-b"),
-    "10.0.1.1": ("r1", "co-c"),
-    "10.0.2.1": ("r2", "co-d"),
-}
-
 
 @st.composite
 def trace_lists(draw):
@@ -77,29 +69,61 @@ def test_followup_index_matches_reference_scan(traces):
     corpus = TraceCorpus.from_traces(traces)
     from_objects = FollowupIndex(traces)
     from_columns = FollowupIndex.from_columnar(corpus)
+    reference = FollowupScan(traces)
     for first in ADDRESSES:
         for second in ADDRESSES:
-            expected = AdjacencyExtractor._mpls_separated(
-                (first, second), traces
-            )
+            expected = reference.separated(first, second)
             assert from_objects.separated(first, second) == expected
             assert from_columns.separated(first, second) == expected
 
 
-@given(trace_lists(), trace_lists())
-def test_extract_columnar_matches_extract(traces, followups):
-    def extractor():
-        return AdjacencyExtractor(
-            Ip2CoMapping(mapping=dict(MAPPING)), RdnsStore(), "comcast"
-        )
+#: rDNS names for the alphabet and two non-responding p2p peers, so
+#: stage 3 gets votes (10.0.1.2 names 10.0.1.1's router) and
+#: conflicting ones (10.0.2.2 claims a different CO than 10.0.2.1).
+NAMES = {
+    "10.0.0.1": ("r1", "coa"),
+    "10.0.0.2": ("r1", "cob"),
+    "10.0.1.2": ("r1", "coc"),
+    "10.0.2.1": ("r2", "cod"),
+    "10.0.2.2": ("r1", "coa"),
+}
+#: An alias group whose members disagree, so stage 2 records a tie.
+ALIAS_GROUP = {"10.0.0.1", "10.0.0.2"}
 
-    reference = extractor().extract(traces, followup_traces=followups)
-    columnar = extractor().extract_columnar(
-        TraceCorpus.from_traces(traces),
-        TraceCorpus.from_traces(followups),
+
+@given(trace_lists(), trace_lists(), st.booleans())
+def test_fold_and_columnar_records_agree(traces, followups, with_aliases):
+    """The per-trace fold and the columnar reductions build equal
+    records, and the stages read them to identical output."""
+    folded = SufficientStats.from_traces(traces, followups)
+    columnar = SufficientStats.from_corpus(
+        TraceCorpus.from_traces(traces), TraceCorpus.from_traces(followups)
     )
-    assert columnar.stats == reference.stats
-    assert columnar.per_region == reference.per_region
-    assert list(columnar.per_region) == list(reference.per_region)
-    assert columnar.backbone_pairs == reference.backbone_pairs
-    assert columnar.cross_region_pairs == reference.cross_region_pairs
+    assert columnar.observed == folded.observed
+    # Item lists, not counters: first-occurrence order must match too.
+    assert list(columnar.pairs.items()) == list(folded.pairs.items())
+    assert list(columnar.peer_pairs.items()) == list(folded.peer_pairs.items())
+    assert columnar.followups._spans == folded.followups._spans
+    assert (columnar.traces, len(columnar.followups)) == (
+        folded.traces, len(folded.followups)
+    )
+
+    rdns = RdnsStore()
+    for address, (region, co) in NAMES.items():
+        rdns.set(address, f"ae-1-ar01.{co}.co.{region}.comcast.net")
+    aliases = AliasSets([ALIAS_GROUP] if with_aliases else [])
+
+    def infer(stats):
+        mapping = Ip2CoMapper(rdns, "comcast").build(stats, aliases)
+        return mapping, AdjacencyExtractor(mapping, rdns, "comcast").extract(stats)
+
+    map_f, adj_f = infer(folded)
+    map_c, adj_c = infer(columnar)
+    assert map_c.mapping == map_f.mapping
+    assert map_c.stats == map_f.stats
+    assert map_c.conflicts == map_f.conflicts
+    assert adj_c.stats == adj_f.stats
+    assert adj_c.per_region == adj_f.per_region
+    assert list(adj_c.per_region) == list(adj_f.per_region)
+    assert adj_c.backbone_pairs == adj_f.backbone_pairs
+    assert adj_c.cross_region_pairs == adj_f.cross_region_pairs

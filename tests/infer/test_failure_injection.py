@@ -49,12 +49,14 @@ def _infer_region(internet, fleet, flows=4):
             trace = tracer.trace(vp.host, target, src_address=vp.src_address)
             if trace.hops:
                 traces.append(trace)
-    mapper = Ip2CoMapper(internet.network.rdns, isp.name, p2p_prefixlen=30)
+    mapper = Ip2CoMapper(internet.network.rdns, isp.name)
     from repro.alias.resolve import AliasSets
+    from repro.infer.stats import SufficientStats
 
-    mapping = mapper.build(traces, AliasSets([]))
+    stats = SufficientStats.from_traces(traces)
+    mapping = mapper.build(stats, AliasSets([]))
     extractor = AdjacencyExtractor(mapping, internet.network.rdns, isp.name)
-    adjacencies = extractor.extract(traces)
+    adjacencies = extractor.extract(stats)
     counter = adjacencies.per_region.get(REGION, Counter())
     if not counter:
         return None

@@ -1,14 +1,13 @@
 """Unit tests for IP→CO mapping and adjacency pruning on synthetic
 corpora (no simulated internet needed)."""
 
-from collections import Counter
-
 import pytest
 
 from repro.alias.resolve import AliasSets
 from repro.infer.adjacency import AdjacencyExtractor
 from repro.infer.entries import EntryInferrer
 from repro.infer.ip2co import Ip2CoMapper, Ip2CoMapping
+from repro.infer.stats import SufficientStats
 from repro.measure.traceroute import Hop, TraceResult
 from repro.net.dns import RdnsStore
 
@@ -40,7 +39,7 @@ class TestIp2CoStages:
     def test_initial_mapping_from_rdns(self, rdns):
         mapper = Ip2CoMapper(rdns, "comcast")
         traces = [_trace(["10.0.0.1", "10.0.1.2"])]
-        mapping = mapper.build(traces, AliasSets([]))
+        mapping = mapper.build(SufficientStats.from_traces(traces), AliasSets([]))
         assert mapping.co_of("10.0.0.1") == ("denver", "aggco.co")
         assert mapping.co_of("10.0.1.2") == ("denver", "edgeco.co")
         assert mapping.stats.initial == 2
@@ -49,7 +48,7 @@ class TestIp2CoStages:
         mapper = Ip2CoMapper(rdns, "comcast")
         traces = [_trace(["10.0.0.1", "10.0.1.2"])]
         aliases = AliasSets([{"10.0.0.1", "10.0.0.5", "10.0.0.9"}])
-        mapping = mapper.build(traces, aliases)
+        mapping = mapper.build(SufficientStats.from_traces(traces), aliases)
         assert mapping.co_of("10.0.0.9") == ("denver", "aggco.co")
         assert mapping.stats.alias_added >= 1
 
@@ -58,7 +57,7 @@ class TestIp2CoStages:
         mapper = Ip2CoMapper(rdns, "comcast")
         traces = [_trace(["10.0.0.1", "10.0.0.9"])]
         aliases = AliasSets([{"10.0.0.1", "10.0.0.5", "10.0.0.9"}])
-        mapping = mapper.build(traces, aliases)
+        mapping = mapper.build(SufficientStats.from_traces(traces), aliases)
         assert mapping.co_of("10.0.0.9") == ("denver", "aggco.co")
         assert mapping.stats.alias_changed == 1
 
@@ -67,7 +66,7 @@ class TestIp2CoStages:
         mapper = Ip2CoMapper(rdns, "comcast")
         traces = [_trace(["10.0.0.1", "10.0.2.1"])]
         aliases = AliasSets([{"10.0.0.1", "10.0.2.1"}])
-        mapping = mapper.build(traces, aliases)
+        mapping = mapper.build(SufficientStats.from_traces(traces), aliases)
         assert mapping.co_of("10.0.0.1") is None
         assert mapping.co_of("10.0.2.1") is None
         assert mapping.stats.alias_removed == 2
@@ -81,7 +80,7 @@ class TestIp2CoStages:
             _trace(["10.9.9.9", "10.0.3.2", "10.0.1.2"]),
             _trace(["10.9.9.9", "10.0.3.2", "10.0.1.2"]),
         ]
-        mapping = mapper.build(traces, AliasSets([]))
+        mapping = mapper.build(SufficientStats.from_traces(traces), AliasSets([]))
         assert mapping.co_of("10.9.9.9") == ("denver", "aggco.co")
         assert mapping.stats.p2p_added == 1
 
@@ -92,12 +91,14 @@ class TestIp2CoStages:
         # Completed trace whose final hop is 10.0.3.2: peer(10.0.3.2)
         # would wrongly place the previous hop in aggco.
         traces = [_trace(["10.9.9.9", "10.0.3.2"], completed=True)] * 2
-        mapping = mapper.build(traces, AliasSets([]))
+        mapping = mapper.build(SufficientStats.from_traces(traces), AliasSets([]))
         assert mapping.co_of("10.9.9.9") is None
 
     def test_stats_rows_render(self, rdns):
         mapper = Ip2CoMapper(rdns, "comcast")
-        mapping = mapper.build([_trace(["10.0.0.1"])], AliasSets([]))
+        mapping = mapper.build(
+            SufficientStats.from_traces([_trace(["10.0.0.1"])]), AliasSets([])
+        )
         rows = mapping.stats.as_rows()
         assert rows[0] == ("Initial", "1")
         assert any("%" in value for _label, value in rows[1:4])
@@ -115,19 +116,21 @@ class TestAdjacencyPruning:
     def test_basic_extraction(self, rdns):
         extractor = AdjacencyExtractor(self._mapping(), rdns, "comcast")
         traces = [_trace(["10.0.0.1", "10.0.1.2"])] * 2
-        adjacencies = extractor.extract(traces)
+        adjacencies = extractor.extract(SufficientStats.from_traces(traces))
         assert adjacencies.per_region["denver"][("aggco.co", "edgeco.co")] == 2
 
     def test_single_observation_pruned(self, rdns):
         extractor = AdjacencyExtractor(self._mapping(), rdns, "comcast")
-        adjacencies = extractor.extract([_trace(["10.0.0.1", "10.0.1.2"])])
+        adjacencies = extractor.extract(
+            SufficientStats.from_traces([_trace(["10.0.0.1", "10.0.1.2"])])
+        )
         assert "denver" not in adjacencies.per_region
         assert adjacencies.stats.single_co == 1
 
     def test_cross_region_pruned(self, rdns):
         extractor = AdjacencyExtractor(self._mapping(), rdns, "comcast")
         traces = [_trace(["10.2.0.1", "10.0.1.2"])] * 3
-        adjacencies = extractor.extract(traces)
+        adjacencies = extractor.extract(SufficientStats.from_traces(traces))
         assert not adjacencies.per_region
         assert adjacencies.stats.cross_region_co == 1
 
@@ -135,7 +138,7 @@ class TestAdjacencyPruning:
         rdns.set("4.4.4.4", "be-1-cr01.denver.co.ibone.comcast.net")
         extractor = AdjacencyExtractor(self._mapping(), rdns, "comcast")
         traces = [_trace(["4.4.4.4", "10.0.0.1", "10.0.1.2"])] * 2
-        adjacencies = extractor.extract(traces)
+        adjacencies = extractor.extract(SufficientStats.from_traces(traces))
         assert adjacencies.backbone_pairs[("denver.co", "denver", "aggco.co")] == 2
         assert adjacencies.stats.backbone_co == 1
 
@@ -144,7 +147,7 @@ class TestAdjacencyPruning:
         traces = [_trace(["10.0.0.1", "10.0.1.2"])] * 3
         # A follow-up to the egress reveals an interior hop between them.
         followups = [_trace(["10.0.0.1", "10.0.2.1", "10.0.1.2"])]
-        adjacencies = extractor.extract(traces, followup_traces=followups)
+        adjacencies = extractor.extract(SufficientStats.from_traces(traces, followups))
         assert ("aggco.co", "edgeco.co") not in adjacencies.per_region.get(
             "denver", {}
         )
@@ -156,7 +159,9 @@ class TestAdjacencyPruning:
             "10.0.0.5": ("denver", "aggco.co"),
         })
         extractor = AdjacencyExtractor(mapping, rdns, "comcast")
-        adjacencies = extractor.extract([_trace(["10.0.0.1", "10.0.0.5"])] * 2)
+        adjacencies = extractor.extract(
+            SufficientStats.from_traces([_trace(["10.0.0.1", "10.0.0.5"])] * 2)
+        )
         assert not adjacencies.per_region
 
 

@@ -6,17 +6,18 @@ Regression coverage for the pruning-accounting bugs:
   contributing IP pairs;
 * ``initial_co``/``backbone_co`` derived from ad-hoc set sums instead
   of one explicit CO-pair universe;
-* ``_mpls_separated`` trusting ``addresses.index`` (first occurrence)
-  and ignoring hop order, so reversed or duplicate-hop DPR traces
-  mis-classified pairs;
+* the reference follow-up scan (``FollowupScan``) trusting
+  ``addresses.index`` (first occurrence) and ignoring hop order, so
+  reversed or duplicate-hop DPR traces mis-classified pairs;
 * ``_backbone_tag`` accepting any ISP *prefix* (a parsed ``"com"``
   claiming ``"comcast"`` backbone adjacencies).
 """
 
 import pytest
 
-from repro.infer.adjacency import AdjacencyExtractor, FollowupIndex
+from repro.infer.adjacency import AdjacencyExtractor, FollowupIndex, FollowupScan
 from repro.infer.ip2co import Ip2CoMapping
+from repro.infer.stats import SufficientStats
 from repro.measure.traceroute import Hop, TraceResult
 from repro.net.dns import RdnsStore
 
@@ -74,15 +75,17 @@ def corpus():
 
 
 class TestTable4Exact:
-    @pytest.fixture(params=[True, False], ids=["indexed", "reference"])
-    def extractor(self, request, mapping, rdns):
-        return AdjacencyExtractor(
-            mapping, rdns, "comcast", use_followup_index=request.param
-        )
+    @pytest.fixture()
+    def extractor(self, mapping, rdns):
+        return AdjacencyExtractor(mapping, rdns, "comcast")
 
-    def test_every_row_exact(self, extractor, corpus):
+    @pytest.fixture(params=[FollowupIndex, FollowupScan], ids=["indexed", "reference"])
+    def record(self, request, corpus):
         traces, followups = corpus
-        adjacencies = extractor.extract(traces, followup_traces=followups)
+        return SufficientStats.from_traces(traces, followups, followups=request.param())
+
+    def test_every_row_exact(self, extractor, record):
+        adjacencies = extractor.extract(record)
         stats = adjacencies.stats
         # 7 distinct IP pairs; the prefix-trap pair maps to no CO on
         # either side, so the CO universe has 5 members.
@@ -93,9 +96,8 @@ class TestTable4Exact:
         assert (stats.cross_region_ip, stats.cross_region_co) == (1, 1)
         assert (stats.single_ip, stats.single_co) == (1, 1)
 
-    def test_survivors_and_set_asides(self, extractor, corpus):
-        traces, followups = corpus
-        adjacencies = extractor.extract(traces, followup_traces=followups)
+    def test_survivors_and_set_asides(self, extractor, record):
+        adjacencies = extractor.extract(record)
         # The kept pair aggregates both contributing IP pairs' counts.
         assert adjacencies.per_region == {"denver": {("agg", "e1"): 3}}
         assert adjacencies.backbone_pairs == {
@@ -105,9 +107,8 @@ class TestTable4Exact:
             ("seattle", "rem", "denver", "e1"): 3
         }
 
-    def test_rows_render_from_one_universe(self, extractor, corpus):
-        traces, followups = corpus
-        stats = extractor.extract(traces, followup_traces=followups).stats
+    def test_rows_render_from_one_universe(self, extractor, record):
+        stats = extractor.extract(record).stats
         rows = dict(
             (label, (ip, co)) for label, ip, co in stats.as_rows()
         )
@@ -122,7 +123,7 @@ class TestSingleRowIpColumn:
         # pairs, not an unrelated CO-pair tally.
         extractor = AdjacencyExtractor(mapping, rdns, "comcast")
         traces = [_trace([E1, OTHER]), _trace([E2, OTHER])]
-        stats = extractor.extract(traces).stats
+        stats = extractor.extract(SufficientStats.from_traces(traces)).stats
         assert stats.single_co == 2
         assert stats.single_ip == 2
         assert stats.initial_co == 2
@@ -132,7 +133,7 @@ class TestDprOrderRegressions:
     """Shapes the first-occurrence scan mis-classified."""
 
     def _separated(self, followups, pair=(AGG1, E2)):
-        reference = AdjacencyExtractor._mpls_separated(pair, followups)
+        reference = FollowupScan(followups).separated(*pair)
         indexed = FollowupIndex(followups).separated(*pair)
         assert reference == indexed  # the index is the scan, made fast
         return indexed
@@ -178,7 +179,7 @@ class TestSilentHopSeparation:
         from repro.corpus import TraceCorpus
 
         followups = [followup]
-        reference = AdjacencyExtractor._mpls_separated(pair, followups)
+        reference = FollowupScan(followups).separated(*pair)
         indexed = FollowupIndex(followups).separated(*pair)
         columnar = FollowupIndex.from_columnar(
             TraceCorpus.from_traces(followups)
@@ -209,7 +210,7 @@ class TestSilentHopSeparation:
             "192.0.2.1", E2, [Hop(1, AGG1), Hop(2, None), Hop(3, E2)],
         )
         result = extractor.extract(
-            [_trace([AGG1, E2])] * 2, followup_traces=[followup]
+            SufficientStats.from_traces([_trace([AGG1, E2])] * 2, [followup])
         )
         assert result.stats.mpls_ip == 1
         assert all(
@@ -222,7 +223,7 @@ class TestZeroDenominatorRows:
     "0%" — when the denominator corpus is empty."""
 
     def test_adjacency_rows_on_empty_corpus(self, mapping, rdns):
-        stats = AdjacencyExtractor(mapping, rdns, "comcast").extract([]).stats
+        stats = AdjacencyExtractor(mapping, rdns, "comcast").extract(SufficientStats()).stats
         rows = stats.as_rows()
         assert rows[0] == ("Initial", "0", "0")
         assert rows[1:] == [
@@ -234,7 +235,7 @@ class TestZeroDenominatorRows:
         from repro.alias.resolve import AliasSets
         from repro.infer.ip2co import Ip2CoMapper
 
-        mapping = Ip2CoMapper(RdnsStore(), "comcast").build([], AliasSets([]))
+        mapping = Ip2CoMapper(RdnsStore(), "comcast").build(SufficientStats(), AliasSets([]))
         rows = dict(mapping.stats.as_rows())
         assert rows["Initial"] == "0"
         for label in ("Alias changed", "Alias added", "Alias removed",
@@ -245,7 +246,7 @@ class TestZeroDenominatorRows:
 class TestBackboneIspMatching:
     def test_prefix_isp_rejected(self, mapping, rdns):
         extractor = AdjacencyExtractor(mapping, rdns, "comcast")
-        stats = extractor.extract([_trace([PREFIX_TRAP, E1])] * 2).stats
+        stats = extractor.extract(SufficientStats.from_traces([_trace([PREFIX_TRAP, E1])] * 2)).stats
         assert stats.backbone_ip == 0
         # The pair is unmapped on the trap side, so it leaves no
         # universe member at all — it must not be misrouted into the
@@ -257,7 +258,7 @@ class TestBackboneIspMatching:
         extractor = AdjacencyExtractor(
             mapping, rdns, "comcast", isp_aliases=("comcastbiz",)
         )
-        adjacencies = extractor.extract([_trace(["6.6.6.6", AGG1])] * 2)
+        adjacencies = extractor.extract(SufficientStats.from_traces([_trace(["6.6.6.6", AGG1])] * 2))
         assert adjacencies.stats.backbone_ip == 1
         assert adjacencies.backbone_pairs == {
             ("reno.nv", "denver", "agg"): 2
@@ -265,5 +266,5 @@ class TestBackboneIspMatching:
 
     def test_exact_isp_still_accepted(self, mapping, rdns):
         extractor = AdjacencyExtractor(mapping, rdns, "comcast")
-        adjacencies = extractor.extract([_trace([BACKBONE, AGG1])] * 2)
+        adjacencies = extractor.extract(SufficientStats.from_traces([_trace([BACKBONE, AGG1])] * 2))
         assert adjacencies.stats.backbone_ip == 1
