@@ -42,9 +42,7 @@ Three sections, written to ``BENCH_CURRENT.json``:
   (``Tracerouter.pace_ms``) models the latency-bound regime real
   campaigns run in — every probe waits on an RTT — which is the regime
   sharded measurement exists for; an unpaced pure-CPU simulation would
-  only measure host core count.  (The thread-based
-  ``ParallelCampaignRunner`` is no longer benchmarked: it is the
-  in-process parity oracle, not the production path.)
+  only measure host core count.
 
 Usage::
 

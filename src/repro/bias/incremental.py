@@ -33,7 +33,7 @@ from repro.infer.refine import RegionRefiner
 from repro.infer.stats import SufficientStats
 from repro.measure.traceroute import TraceResult
 from repro.net.dns import RdnsStore
-from repro.perf.cache import normalize_address
+from repro.net.addresses import normalize_address
 
 
 def region_digest(regions: "dict") -> str:

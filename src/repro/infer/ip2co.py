@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.alias.resolve import AliasSets
 from repro.net.dns import RdnsStore
-from repro.perf.cache import normalize_address
+from repro.net.addresses import normalize_address
 from repro.rdns.regexes import HostnameParser
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard

@@ -30,7 +30,7 @@ from collections import Counter
 
 from repro.infer.adjacency import FollowupIndex
 from repro.measure.traceroute import TraceResult
-from repro.perf.cache import p2p_peer_str
+from repro.net.addresses import p2p_peer_str
 
 
 class SufficientStats:

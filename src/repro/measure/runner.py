@@ -257,9 +257,9 @@ class CampaignRunner:
     def _run_trace(self, vp: VantagePoint, target: str, flow_id: int) -> TraceResult:
         """One actual traceroute — the seam execution strategies override.
 
-        The serial runner probes synchronously; the parallel runner
-        substitutes a speculatively-computed trace (replaying its probe
-        counters onto this tracer) when one is available.
+        The serial runner probes synchronously; the supervised runner
+        substitutes a trace a worker process speculated (replaying its
+        probe counters onto this tracer) when one is available.
         """
         return self.tracer.trace(
             vp.host, target, flow_id=flow_id, src_address=vp.src_address

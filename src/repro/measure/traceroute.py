@@ -22,7 +22,7 @@ from typing import Optional
 
 from repro.net.network import Network
 from repro.net.router import Router, _stable_hash
-from repro.perf.cache import normalize_address
+from repro.net.addresses import normalize_address
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.net.addresses import IPAddress
-from repro.perf.cache import normalize_address
+from repro.net.addresses import IPAddress, normalize_address
 
 
 class RdnsStore:
@@ -80,16 +79,6 @@ class RdnsStore:
         if self.faults is not None and self.faults.rdns_timeout(key, fault_key):
             return None
         return self._dig.get(key)
-
-    def dig_record(self, address: "str | IPAddress") -> Optional[str]:
-        """The raw live record, bypassing fault injection.
-
-        Exists so execution layers that carry their *own* injector (the
-        parallel campaign runner's per-worker substrate views) can
-        re-implement :meth:`dig` against it without consulting the
-        injector attached to this store.
-        """
-        return self._dig.get(normalize_address(address))
 
     def snapshot_lookup(self, address: "str | IPAddress") -> Optional[str]:
         """A lookup against the bulk snapshot."""

@@ -7,13 +7,17 @@ identifiers are *seeded-deterministic*: they derive from the tracer
 seed, the span's creation index, its name, and its parent, never from
 wall-clock time or process state.  Two runs that execute the same
 stages in the same order therefore produce structurally identical span
-trees (same ids, same parents, same attributes), which is what makes a
-serial run and a ``--workers N`` run diffable span-for-span.
+trees (same ids, same parents, same attributes).
 
-Spans are created from the orchestrating thread only.  Worker threads
-(the parallel runner's speculation pool) never open spans — that is a
-design rule, not an accident: it keeps the tree identical regardless
-of scheduling, and it keeps the tracer free of locks.
+Spans are created from the orchestrating thread only.  Supervised
+worker processes never open spans — that is a design rule, not an
+accident: it keeps the tree identical regardless of scheduling, and it
+keeps the tracer free of locks.  The supervisor adds its own
+``supervise:<stage>`` and ``shard:<id>`` spans (in shard-id order,
+after the pool completes), so a ``--workers N`` tree equals the serial
+tree once those are dropped — compared by name, depth, parent name and
+attributes, because every later creation index, and so every later
+id, shifts.
 
 The pre-existing :class:`~repro.perf.profile.PhaseProfiler` is a view
 over this tree: its per-phase totals are :meth:`Tracer.phase_totals`.

@@ -51,14 +51,21 @@ def standard_vps(internet):
 
 
 @pytest.fixture(scope="session")
-def comcast_result(internet, standard_vps):
-    """One full Comcast-like pipeline run shared by integration tests."""
+def comcast_run(internet, standard_vps):
+    """One full serial Comcast-like pipeline run shared by integration
+    tests: ``(pipeline, result)``, the pipeline's span tree being the
+    serial reference."""
     from repro.infer.pipeline import CableInferencePipeline
 
     pipeline = CableInferencePipeline(
         internet.network, internet.comcast, standard_vps, sweep_vps=6
     )
-    return pipeline.run()
+    return pipeline, pipeline.run()
+
+
+@pytest.fixture(scope="session")
+def comcast_result(comcast_run):
+    return comcast_run[1]
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from repro.infer.metrics import (
     score_region,
     single_upstream_fraction,
 )
+from repro.infer.pipeline import CableInferencePipeline
 
 
 class TestCoverage:
@@ -119,3 +120,22 @@ class TestRefinementBehaviour:
     def test_every_region_has_agg_cos(self, comcast_result):
         for name, region in comcast_result.regions.items():
             assert region.agg_cos, name
+
+
+class TestSpanDeterminism:
+    def test_trace_seed_changes_span_ids_not_structure(
+        self, internet, standard_vps
+    ):
+        def ids_for(trace_seed):
+            pipeline = CableInferencePipeline(
+                internet.network, internet.comcast, standard_vps,
+                sweep_vps=2, trace_seed=trace_seed,
+            )
+            pipeline.run()
+            names = [s.name for s in pipeline.obs.spans]
+            return names, [s.span_id for s in pipeline.obs.spans]
+
+        names_a, ids_a = ids_for(0)
+        names_b, ids_b = ids_for(99)
+        assert names_a == names_b
+        assert ids_a != ids_b

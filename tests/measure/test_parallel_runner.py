@@ -1,157 +1,60 @@
-"""ParallelCampaignRunner: byte-identical to serial in every regime."""
+"""Parallel campaign runs: byte-identical to serial at the default sharding.
 
-import pytest
+The multi-process runner is ``SupervisedCampaignRunner``; its own tests
+(``test_supervisor.py``) pin two workers and ten-job shards. These run
+a three-worker pool with the runner's default shard size over a mixed
+target list (toy-diamond and cable addresses), the pool shape a CLI
+``--workers 3`` run gets.
+"""
 
-from repro.errors import CampaignInterrupted
-from repro.faults import FaultInjector, FaultPlan
-from repro.io.checkpoint import CampaignCheckpoint, trace_to_dict
-from repro.measure.parallel import ParallelCampaignRunner
+from repro.io.checkpoint import trace_to_dict
 from repro.measure.runner import CampaignRunner
-from repro.measure.traceroute import Tracerouter
-from repro.measure.vantage import VantagePoint, attach_host
+from repro.measure.substrates import WorkerSpec, toy_substrate
+from repro.measure.supervisor import SupervisedCampaignRunner
 
+SPEC = WorkerSpec("repro.measure.substrates:toy_substrate", {"hosts": 3})
 TARGETS = ["10.0.0.14", "10.0.0.6", "198.18.5.1", "198.18.5.9"]
 
 
-@pytest.fixture()
-def fleet(toy_network):
-    """Three measurement hosts hanging off the toy diamond's router a."""
-    net, routers = toy_network
-    vps = []
-    for index in range(3):
-        host, addr = attach_host(
-            net, routers["a"], f"probe{index}", f"10.9.{index}.0/30"
-        )
-        vps.append(VantagePoint(f"vp{index}", "transit", host, addr))
-    return net, routers, vps
-
-
 def _jobs(vps, targets=TARGETS):
-    return [(vp, target) for vp in vps for target in targets]
+    return [(vp, target) for vp in vps.values() for target in targets]
 
 
-def _corpus(runner, jobs):
-    return [trace_to_dict(t) for t in runner.run(jobs, stage="s")]
+def _run(runner, vps):
+    return [trace_to_dict(t) for t in runner.run(_jobs(vps), stage="s")]
+
+
+def _serial():
+    tracer, vps = toy_substrate(hosts=3)
+    runner = CampaignRunner(tracer, list(vps.values()))
+    return _run(runner, vps), runner
+
+
+def _comparable_health(runner):
+    """Health minus the supervisor-only shard/worker bookkeeping."""
+    return {
+        key: value for key, value in runner.health.as_dict().items()
+        if not key.startswith(("shards_", "workers_"))
+    }
+
+
+def _parallel():
+    tracer, vps = toy_substrate(hosts=3)
+    runner = SupervisedCampaignRunner(
+        tracer, list(vps.values()), worker_spec=SPEC, workers=3
+    )
+    return _run(runner, vps), runner
 
 
 class TestFaultFreeParity:
-    def test_corpus_byte_identical_to_serial(self, fleet):
-        net, _routers, vps = fleet
-        serial = CampaignRunner(Tracerouter(net), vps)
-        reference = _corpus(serial, _jobs(vps))
-
-        parallel = ParallelCampaignRunner(Tracerouter(net), vps, workers=3)
-        assert _corpus(parallel, _jobs(vps)) == reference
-
-    def test_health_counters_match_serial(self, fleet):
-        net, _routers, vps = fleet
-        serial = CampaignRunner(Tracerouter(net), vps)
-        serial.run(_jobs(vps), stage="s")
-
-        parallel = ParallelCampaignRunner(Tracerouter(net), vps, workers=3)
-        parallel.run(_jobs(vps), stage="s")
-        assert parallel.health.as_dict() == serial.health.as_dict()
-
-    def test_single_worker_degenerates_cleanly(self, fleet):
-        net, _routers, vps = fleet
-        serial = CampaignRunner(Tracerouter(net), vps)
-        reference = _corpus(serial, _jobs(vps))
-
-        parallel = ParallelCampaignRunner(Tracerouter(net), vps, workers=1)
-        assert _corpus(parallel, _jobs(vps)) == reference
-
-
-class TestFaultedParity:
-    def _run_serial(self, net, vps, plan):
-        net.attach_faults(FaultInjector(plan))
-        runner = CampaignRunner(Tracerouter(net), vps)
-        corpus = _corpus(runner, _jobs(vps))
-        return corpus, runner.health.as_dict()
-
-    def _run_parallel(self, net, vps, plan, workers=3):
-        net.attach_faults(FaultInjector(plan))
-        runner = ParallelCampaignRunner(Tracerouter(net), vps, workers=workers)
-        corpus = _corpus(runner, _jobs(vps))
-        return corpus, runner.health.as_dict()
-
-    def test_probe_loss_parity(self, fleet):
-        net, _routers, vps = fleet
-        plan = FaultPlan(seed=7, probe_loss=0.15, rdns_timeout=0.1)
-        reference, ref_health = self._run_serial(net, vps, plan)
-        corpus, health = self._run_parallel(net, vps, plan)
+    def test_corpus_byte_identical_to_serial(self):
+        reference, _serial_runner = _serial()
+        corpus, runner = _parallel()
         assert corpus == reference
-        assert health == ref_health
+        assert runner.health.shards_planned >= 1
+        assert runner.health.shards_poisoned == 0
 
-    def test_vp_death_and_failover_parity(self, fleet):
-        # VP death reorders work across VPs — the hard case.  The doomed
-        # VP's unconsumed speculations must be discarded and its failed-
-        # over jobs re-probed synchronously under the stand-in's identity.
-        net, _routers, vps = fleet
-        plan = FaultPlan(seed=1, probe_loss=0.15, vp_dropout=1,
-                         vp_dropout_after=5)
-        reference, ref_health = self._run_serial(net, vps, plan)
-        corpus, health = self._run_parallel(net, vps, plan)
-        assert corpus == reference
-        assert health == ref_health
-        assert health["vps_lost"]  # the scenario actually exercised death
-
-    def test_lsp_flap_parity(self, fleet):
-        net, _routers, vps = fleet
-        plan = FaultPlan(seed=11, lsp_flap=0.3, probe_loss=0.05)
-        reference, ref_health = self._run_serial(net, vps, plan)
-        corpus, health = self._run_parallel(net, vps, plan)
-        assert corpus == reference
-        assert health == ref_health
-
-
-class TestCheckpointResumeParity:
-    PLAN = FaultPlan(seed=1, probe_loss=0.15, vp_dropout=1,
-                     vp_dropout_after=5)
-
-    def test_resume_converges_on_serial_output(self, fleet, tmp_path):
-        net, _routers, vps = fleet
-        net.attach_faults(FaultInjector(self.PLAN))
-        reference = _corpus(CampaignRunner(Tracerouter(net), vps), _jobs(vps))
-
-        # Kill a parallel campaign mid-stage...
-        net.attach_faults(FaultInjector(self.PLAN))
-        checkpoint = CampaignCheckpoint(tmp_path / "camp.json")
-        runner = ParallelCampaignRunner(
-            Tracerouter(net), vps, checkpoint=checkpoint, stop_after=5,
-            workers=3,
-        )
-        with pytest.raises(CampaignInterrupted):
-            runner.run(_jobs(vps), stage="s")
-
-        # ...then resume it in parallel, as a new process would.
-        loaded = CampaignCheckpoint.load(tmp_path / "camp.json")
-        net.attach_faults(FaultInjector(self.PLAN))
-        resumed = ParallelCampaignRunner.resumed(
-            Tracerouter(net), vps, loaded, workers=3
-        )
-        traces = resumed.run(_jobs(vps), stage="s")
-        assert [trace_to_dict(t) for t in traces] == reference
-        assert resumed.health.resumed is True
-
-    def test_serial_checkpoint_resumable_in_parallel(self, fleet, tmp_path):
-        # Mixed-mode: a serial campaign's checkpoint picked up by the
-        # parallel runner (e.g. operator adds --parallel when resuming).
-        net, _routers, vps = fleet
-        net.attach_faults(FaultInjector(self.PLAN))
-        reference = _corpus(CampaignRunner(Tracerouter(net), vps), _jobs(vps))
-
-        net.attach_faults(FaultInjector(self.PLAN))
-        checkpoint = CampaignCheckpoint(tmp_path / "camp.json")
-        serial = CampaignRunner(
-            Tracerouter(net), vps, checkpoint=checkpoint, stop_after=5
-        )
-        with pytest.raises(CampaignInterrupted):
-            serial.run(_jobs(vps), stage="s")
-
-        loaded = CampaignCheckpoint.load(tmp_path / "camp.json")
-        net.attach_faults(FaultInjector(self.PLAN))
-        resumed = ParallelCampaignRunner.resumed(
-            Tracerouter(net), vps, loaded, workers=2
-        )
-        traces = resumed.run(_jobs(vps), stage="s")
-        assert [trace_to_dict(t) for t in traces] == reference
+    def test_health_counters_match_serial(self):
+        _reference, serial = _serial()
+        _corpus, runner = _parallel()
+        assert _comparable_health(runner) == _comparable_health(serial)

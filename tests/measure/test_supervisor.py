@@ -11,6 +11,7 @@ import json
 
 import pytest
 
+from repro.errors import CampaignInterrupted
 from repro.faults import FaultInjector, FaultPlan
 from repro.io.checkpoint import CampaignCheckpoint, trace_to_dict
 from repro.measure.runner import CampaignRunner
@@ -33,25 +34,39 @@ def _corpus(traces):
     return json.dumps([trace_to_dict(t) for t in traces], sort_keys=True)
 
 
+def _serial(plan_kwargs=None, checkpoint=None, **kwargs):
+    tracer, vps = toy_substrate(hosts=3)
+    if plan_kwargs:
+        tracer.network.attach_faults(FaultInjector(FaultPlan(**plan_kwargs)))
+    runner = CampaignRunner(
+        tracer, list(vps.values()), checkpoint=checkpoint, **kwargs
+    )
+    return _corpus(runner.run(_jobs(vps), stage="s")), runner
+
+
 def _serial_corpus(plan_kwargs=None):
+    return _serial(plan_kwargs)[0]
+
+
+def _supervised(plan_kwargs=None, checkpoint=None, resume=False, **kwargs):
     tracer, vps = toy_substrate(hosts=3)
     if plan_kwargs:
         tracer.network.attach_faults(FaultInjector(FaultPlan(**plan_kwargs)))
-    return _corpus(CampaignRunner(tracer, list(vps.values())).run(
-        _jobs(vps), stage="s"
-    ))
-
-
-def _supervised(plan_kwargs=None, checkpoint=None, **kwargs):
-    tracer, vps = toy_substrate(hosts=3)
-    if plan_kwargs:
-        tracer.network.attach_faults(FaultInjector(FaultPlan(**plan_kwargs)))
-    runner = SupervisedCampaignRunner(
+    build = SupervisedCampaignRunner.resumed if resume else SupervisedCampaignRunner
+    runner = build(
         tracer, list(vps.values()), worker_spec=SPEC, checkpoint=checkpoint,
         workers=2, shard_size=10, **kwargs,
     )
     traces = runner.run(_jobs(vps), stage="s")
     return _corpus(traces), runner
+
+
+def _comparable_health(runner):
+    """Health minus the supervisor-only shard/worker bookkeeping."""
+    return {
+        key: value for key, value in runner.health.as_dict().items()
+        if not key.startswith(("shards_", "workers_"))
+    }
 
 
 class TestWireFormat:
@@ -71,11 +86,39 @@ class TestWireFormat:
 class TestFaultFreeParity:
     def test_corpus_byte_identical_to_serial(self):
         corpus, runner = _supervised()
-        assert corpus == _serial_corpus()
+        reference, serial = _serial()
+        assert corpus == reference
+        assert _comparable_health(runner) == _comparable_health(serial)
         assert runner.health.shards_planned == 12
         assert runner.health.shards_poisoned == 0
         assert runner.health.workers_crashed == 0
         assert not runner.health.degraded
+
+
+#: VP death and failover reorder work across VPs — the hard case: the
+#: doomed VP's unconsumed speculations must be discarded and its
+#: failed-over jobs re-probed synchronously under the stand-in's key.
+VP_DEATH = dict(seed=1, probe_loss=0.15, vp_dropout=1, vp_dropout_after=5)
+
+
+class TestFaultedParity:
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            dict(seed=7, probe_loss=0.15, rdns_timeout=0.1),
+            VP_DEATH,
+            dict(seed=11, lsp_flap=0.3, probe_loss=0.05),
+        ],
+        ids=["probe_loss", "vp_death", "lsp_flap"],
+    )
+    def test_corpus_and_health_match_serial(self, plan):
+        corpus, runner = _supervised(plan)
+        reference, serial = _serial(plan)
+        assert corpus == reference
+        health = _comparable_health(runner)
+        assert health == _comparable_health(serial)
+        if plan is VP_DEATH:
+            assert health["vps_lost"]  # the scenario actually exercised death
 
 
 class TestCrashRecovery:
@@ -119,6 +162,22 @@ class TestPoisonQuarantine:
 
 
 class TestCheckpointResume:
+    @pytest.mark.parametrize("interrupted", ["serial", "supervised"])
+    def test_interrupted_campaign_resumes_supervised(self, tmp_path, interrupted):
+        # Kill a campaign mid-stage (either runner: an operator may add
+        # --workers when resuming), then resume it supervised, as a new
+        # process would.
+        path = tmp_path / "camp.json"
+        run = _serial if interrupted == "serial" else _supervised
+        with pytest.raises(CampaignInterrupted):
+            run(VP_DEATH, checkpoint=CampaignCheckpoint(path), stop_after=5)
+        corpus, resumed = _supervised(
+            VP_DEATH, checkpoint=CampaignCheckpoint.load(path), resume=True
+        )
+        assert corpus == _serial_corpus(VP_DEATH)
+        assert resumed.health.resumed is True
+        assert resumed.health.vps_lost
+
     def test_completed_shards_are_reused_without_spawning(self, tmp_path):
         path = tmp_path / "ckpt.json"
         first = CampaignCheckpoint(path)

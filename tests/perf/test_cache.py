@@ -1,8 +1,14 @@
 """InferenceCache and module-level memos: correctness under mutation,
 fault-injector swaps, and the benchmark's disable switch."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.faults import FaultInjector, FaultPlan
 from repro.net.dns import RdnsStore
 from repro.perf import (
@@ -51,6 +57,21 @@ class TestModuleMemos:
             assert not memoization_enabled()
             assert normalize_address("10.0.0.1") == "10.0.0.1"
         assert memoization_enabled()
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.perf", "repro.perf.cache", "repro.net.dns"]
+)
+def test_module_imports_first_in_a_fresh_interpreter(module):
+    # perf.cache builds on net.addresses; the rDNS store must not import
+    # perf back, or whichever side a process imports first breaks.
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import {module}"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestLookupInvalidation:

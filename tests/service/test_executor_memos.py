@@ -4,7 +4,7 @@ jobs: in a long-running service every job brings a fresh address space
 
 import pytest
 
-from repro.perf import cache
+from repro.net import addresses
 from repro.service.executor import JobExecutor
 from repro.service.spec import JobSpec
 
@@ -15,7 +15,7 @@ def executor(tmp_path):
 
 
 def _memo_size() -> int:
-    return len(cache._normalize_memo) + len(cache._p2p_memo)
+    return len(addresses._normalize_memo) + len(addresses._p2p_memo)
 
 
 def _run(executor, job_id, seed):
@@ -25,12 +25,12 @@ def _run(executor, job_id, seed):
 
 class TestMemoHygiene:
     def test_preseeded_garbage_is_dropped(self, executor):
-        cache._normalize_memo["203.0.113.99"] = "203.0.113.99"
-        cache._p2p_memo[("203.0.113.99", 30)] = None
+        addresses._normalize_memo["203.0.113.99"] = "203.0.113.99"
+        addresses._p2p_memo[("203.0.113.99", 30)] = None
         result = _run(executor, "job-a", seed=1)
         assert result.artifacts
-        assert "203.0.113.99" not in cache._normalize_memo
-        assert ("203.0.113.99", 30) not in cache._p2p_memo
+        assert "203.0.113.99" not in addresses._normalize_memo
+        assert ("203.0.113.99", 30) not in addresses._p2p_memo
 
     def test_memo_size_does_not_grow_across_jobs(self, executor):
         _run(executor, "job-a", seed=1)
@@ -49,7 +49,7 @@ class TestMemoHygiene:
         def boom(**kwargs):
             # Simulate a job dying mid-dispatch with memo entries in
             # play; the executor's finally must still clean up.
-            cache._normalize_memo["203.0.113.99"] = "203.0.113.99"
+            addresses._normalize_memo["203.0.113.99"] = "203.0.113.99"
             raise RuntimeError("substrate exploded")
 
         monkeypatch.setattr(substrates, "toy_substrate", boom)
@@ -57,5 +57,5 @@ class TestMemoHygiene:
             executor.execute(
                 "job-x", JobSpec(pipeline="toy", seed=1), "full", attempt=1
             )
-        assert "203.0.113.99" not in cache._normalize_memo
-        assert not cache._p2p_memo
+        assert "203.0.113.99" not in addresses._normalize_memo
+        assert not addresses._p2p_memo
